@@ -5,9 +5,9 @@ each driven through the production entry points (``SimExecutor`` /
 ``Engine.run_until_complete``), not synthetic inner loops:
 
 * ``ping-pong`` - one client issuing sequential 8-byte READ verbs: the
-  scalar verb-trip path (idle-engine closed form when numpy is on).
+  scalar verb-trip path.
 * ``doorbell`` - one client posting same-MN doorbell batches of 16
-  reads: the whole-batch closed form / member-trip path.
+  reads: the member-trip path.
 * ``timeout-storm`` - many pure-engine processes cycling prime-length
   timeouts: heap churn, macro-batch draining, and the timeout pool.
 * ``fifo-saturation`` - many workers hammering one FIFO station:
@@ -29,13 +29,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..dm.cluster import Cluster, ClusterConfig
-from ..dm.network import vector_enabled
 from ..dm.rdma import Batch, ReadOp
 from ..sim import Engine, FifoServer
 
@@ -43,8 +41,9 @@ DOORBELL_WIDTH = 16
 STORM_PROCS = 64
 SAT_WORKERS = 128
 
-#: (events, wall_s, sim_ns) of one pattern run.
-Sample = Tuple[int, float, int]
+#: (events, wall_s, sim_ns, slow) of one pattern run; ``slow`` is the
+#: dispatch path of the engine that actually ran it.
+Sample = Tuple[int, float, int, bool]
 
 
 def _tiny_cluster() -> Cluster:
@@ -66,7 +65,7 @@ def bench_ping_pong(ops: int) -> Sample:
     start = time.perf_counter()
     engine.run_until_complete(proc)
     wall = time.perf_counter() - start
-    return engine.events_processed, wall, engine.now
+    return engine.events_processed, wall, engine.now, engine._slow
 
 
 def bench_doorbell(ops: int) -> Sample:
@@ -86,7 +85,7 @@ def bench_doorbell(ops: int) -> Sample:
     start = time.perf_counter()
     engine.run_until_complete(proc)
     wall = time.perf_counter() - start
-    return engine.events_processed, wall, engine.now
+    return engine.events_processed, wall, engine.now, engine._slow
 
 
 def bench_timeout_storm(ops: int) -> Sample:
@@ -106,7 +105,7 @@ def bench_timeout_storm(ops: int) -> Sample:
     for proc in procs:
         engine.run_until_complete(proc)
     wall = time.perf_counter() - start
-    return engine.events_processed, wall, engine.now
+    return engine.events_processed, wall, engine.now, engine._slow
 
 
 def bench_fifo_saturation(ops: int) -> Sample:
@@ -125,7 +124,7 @@ def bench_fifo_saturation(ops: int) -> Sample:
     for proc in procs:
         engine.run_until_complete(proc)
     wall = time.perf_counter() - start
-    return engine.events_processed, wall, engine.now
+    return engine.events_processed, wall, engine.now, engine._slow
 
 
 PATTERNS: Dict[str, Tuple[Callable[[int], Sample], int]] = {
@@ -143,14 +142,10 @@ def run_pattern(name: str, ops: int, repeat: int = 3) -> dict:
     runner, workers = PATTERNS[name]
     best: Optional[Sample] = None
     for _ in range(max(1, repeat)):
-        events, wall, sim_ns = runner(ops)
-        if best is None or wall < best[1]:
-            best = (events, wall, sim_ns)
-    events, wall, sim_ns = best
-    if os.environ.get("REPRO_SIM_SLOW", "") == "1":
-        mode = "slow"
-    else:
-        mode = "fast" if vector_enabled() else "fast-novector"
+        sample = runner(ops)
+        if best is None or sample[1] < best[1]:
+            best = sample
+    events, wall, sim_ns, slow = best
     return {
         "system": "engine",
         "dataset": "core",
@@ -160,7 +155,7 @@ def run_pattern(name: str, ops: int, repeat: int = 3) -> dict:
         "wall_s": round(wall, 4),
         "events": events,
         "events_per_s": round(events / wall) if wall > 0 else 0,
-        "engine_mode": mode,
+        "engine_mode": "slow" if slow else "fast",
         "sim_ns": sim_ns,
     }
 

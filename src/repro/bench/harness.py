@@ -44,7 +44,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..baselines import ArtDmIndex, OutbackIndex, SmartConfig, SmartIndex
 from ..core import SphinxConfig, SphinxIndex
 from ..dm import Cluster, ClusterConfig
-from ..dm.network import vector_enabled
 from ..errors import ConfigError
 from ..ycsb import Dataset, RunResult, bulk_load, make_dataset, run_workload, \
     warm_clients, workload
@@ -295,9 +294,8 @@ def run_cell(cell: CellSpec) -> RunResult:
     cache-miss build; ``run_wall_s`` is the measured phase alone),
     simulation events processed, events per *run* wall second (the
     engine dispatch-rate metric - restore time would pollute it), and
-    which engine mode produced the numbers (``fast``/``fast-novector``/
-    ``slow``), so BENCH_2 wall times are never silently compared across
-    dispatch paths.
+    which engine mode produced the numbers (``fast``/``slow``), so
+    BENCH_2 wall times are never silently compared across dispatch paths.
     """
     wall_start = time.perf_counter()
     live = copy.deepcopy(_warmed_setup(cell))
@@ -323,16 +321,12 @@ def run_cell(cell: CellSpec) -> RunResult:
     wall_s = wall_end - wall_start
     run_wall_s = wall_end - run_start
     events = engine.events_processed - events_before
-    if engine._slow:
-        mode = "slow"
-    else:
-        mode = "fast" if vector_enabled() else "fast-novector"
     result.perf = {
         "wall_s": round(wall_s, 4),
         "run_wall_s": round(run_wall_s, 4),
         "events": events,
         "events_per_s": round(events / run_wall_s) if run_wall_s > 0 else 0,
-        "engine_mode": mode,
+        "engine_mode": "slow" if engine._slow else "fast",
         "sim_ns": result.sim_ns,
         "throughput_mops": round(result.throughput_mops, 4),
     }

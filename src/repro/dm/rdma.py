@@ -31,8 +31,8 @@ from ..errors import ClientCrash, InjectedFault, MNUnavailable, \
     RetryLimitExceeded, SimulationError
 from ..sim.engine import _DEFER, _POOL_CAP, PENDING, \
     Event as SimEvent, Timeout as SimTimeout
-from .memory import Memory, OFFSET_BITS, OFFSET_MASK, addr_mn, addr_offset
-from .network import Nic, vector_enabled
+from .memory import Memory, addr_mn, addr_offset
+from .network import Nic
 
 
 # --------------------------------------------------------------------------
@@ -416,11 +416,6 @@ class DirectExecutor:
             tracer.op_end(span, self._clock(), status)
 
 
-#: Returned by ``SimExecutor._scalar_sync`` when it declines an op
-#: (multi-unit NIC); distinct from any legitimate verb result.
-_SYNC_MISS = object()
-
-
 class _VerbTrip:
     """Continuation object driving one clean verb through its four NIC
     stages without a generator frame.
@@ -569,7 +564,6 @@ class SimExecutor:
             else self._verb_faulted
         self._budget = 0  # message ceiling armed by arm_verb_budget
         self._crashed = False  # latched by a crash_cn decision
-        self._vector = vector_enabled()
         # Verb trips (continuation objects replacing the per-stage
         # generator resume; event-stream-identical to _verb) need the
         # fast dispatch loop and an unobserved schedule: an injector or
@@ -578,7 +572,6 @@ class SimExecutor:
         # attached after construction.
         self._trips = (injector is None and tracer is None
                        and not engine._slow)
-        self._sync_memo: dict = {}  # (mn, req, resp, extra) -> offsets
 
     def arm_verb_budget(self, extra_messages: int) -> None:
         """See :meth:`DirectExecutor.arm_verb_budget`."""
@@ -826,223 +819,22 @@ class SimExecutor:
         t1 = engine.timeout(self._cn_nic.charge(trip.req) - engine.now)
         t1._cb1 = trip
 
-    def _sync_offsets(self, key):
-        """Precompute the per-(mn, sizes, extra) arithmetic of one idle
-        round trip, plus the objects the hot loop would otherwise chase
-        through attribute/dict lookups; None marks a shape the sync path
-        must decline (multi-unit NIC: its free time is a heap, not a
-        scalar)."""
-        mn_id, req, resp, extra = key
-        cn = self._cn_nic
-        mn = self._mn_nics[mn_id]
-        if cn.server.capacity != 1 or mn.server.capacity != 1:
-            return None
-        cfg = self._config
-        cn_req = cn.service_ns(req)
-        mn_req = mn.service_ns(req) + extra
-        mn_resp = mn.service_ns(resp)
-        cn_resp = cn.service_ns(resp)
-        o2 = cn_req + cfg.prop_ns + mn_req
-        o3 = o2 + cfg.mem_access_ns + mn_resp
-        o4 = o3 + cfg.prop_ns + cn_resp
-        return (o2, o3, o4, cn_req + cn_resp, mn_req + mn_resp,
-                req + resp, mn, mn.server, cn.server,
-                self._memories[mn_id])
-
-    def _scalar_sync(self, op: Verb):
-        """Idle-engine scalar verb: the whole four-stage round trip as
-        closed-form arithmetic - the clock jumps to the completion time,
-        no event is created at all, and the result returns synchronously.
-
-        Exact because the caller verified both engine queues are empty:
-        nothing exists to interleave with, so every stage starts the
-        instant it arrives (each station's free time is necessarily in
-        the past - its last completion event already fired).  All four
-        logical events are accounted; NIC counters advance exactly as
-        the per-stage path would.  Returns ``_SYNC_MISS`` (declining,
-        nothing touched) for multi-unit NICs.
-
-        The single exact-class dispatch below folds together what
-        :func:`_verb_sizes`, :meth:`OpStats.count_verb`, and
-        :func:`apply_verb` would each dispatch separately; the stats
-        fields and Memory methods are the same ones those helpers hit,
-        in the same order.
-        """
-        stats = self.stats
-        cls = op.__class__
-        addr = op.addr
-        if cls is ReadOp:
-            size = op.size
-            key = (addr >> OFFSET_BITS, 0, size, 0)
-        elif cls is WriteOp:
-            key = (addr >> OFFSET_BITS, len(op.data), 0, 0)
-        elif cls is CasOp:
-            key = (addr >> OFFSET_BITS, 16, 8,
-                   self._config.atomic_extra_ns)
-        else:
-            key = (addr >> OFFSET_BITS, 8, 8,
-                   self._config.atomic_extra_ns)
-        memo = self._sync_memo
-        offs = memo.get(key)
-        if offs is None:
-            if key in memo:
-                return _SYNC_MISS
-            offs = self._sync_offsets(key)
-            memo[key] = offs
-            if offs is None:
-                return _SYNC_MISS
-        (o2, o3, o4, cn_busy, mn_busy, payload,
-         mn, mn_server, cn_server, memory) = offs
-        offset = addr & OFFSET_MASK
-        if cls is ReadOp:
-            stats.reads += 1
-            stats.bytes_read += size
-            result = memory.read(offset, size)
-        elif cls is WriteOp:
-            data = op.data
-            stats.writes += 1
-            stats.bytes_written += len(data)
-            memory.write(offset, data)
-            result = None
-        elif cls is CasOp:
-            stats.cas += 1
-            result = memory.cas_u64(offset, op.expected, op.desired)
-        else:
-            stats.faa += 1
-            result = memory.faa_u64(offset, op.delta)
-        stats.messages += 1
-        stats.round_trips += 1
-        engine = self.engine
-        now = engine.now
-        if self._lease_hook is not None \
-                and getattr(op, "lease", None) is not None:
-            self._lease_hook(self.client_id, op, result, now + o2)
-        cn = self._cn_nic
-        cn.messages += 2
-        cn.payload_bytes += payload
-        cn_server.jobs += 2
-        cn_server.busy_time += cn_busy
-        cn_server._free1 = now + o4
-        mn.messages += 2
-        mn.payload_bytes += payload
-        mn_server.jobs += 2
-        mn_server.busy_time += mn_busy
-        mn_server._free1 = now + o3
-        engine.now = now + o4
-        engine.events_processed += 4
-        return result
-
-    def _batch_fast(self, op: Batch, worker):
-        """Issue a clean doorbell batch.  Returns the results list when
-        the whole batch completed synchronously (idle engine, one MN, no
-        deadline armed); returns None after scheduling events (the
-        caller must ``yield _DEFER``)."""
+    def _batch_fast(self, op: Batch, worker) -> None:
+        """Issue a clean doorbell batch as event-driven member trips whose
+        schedule is bit-identical to :meth:`_perform`'s member processes;
+        the caller must ``yield _DEFER``."""
         stats = self.stats
         stats.batches += 1
         stats.round_trips += 1
         engine = self.engine
         ops = op.ops
-        if (self._vector and engine._deadline is None
-                and not engine._fifo and not engine._heap):
-            mn_id = addr_mn(ops[0].addr)
-            for verb in ops:
-                if addr_mn(verb.addr) != mn_id:
-                    mn_id = -1
-                    break
-            if mn_id >= 0:
-                closed = self._batch_closed(ops, self._mn_nics[mn_id])
-                if closed is not None:
-                    results, end = closed
-                    engine.now = end
-                    # All 6N+1 logical events (N boots, 4N stages, N
-                    # member completions, the batch completion) happen
-                    # arithmetically.
-                    engine.events_processed += 6 * len(ops) + 1
-                    return results
-        # Event-driven member trips: one zero-delay boot per member in
-        # member order, exactly where the generator path boots its member
-        # processes; the join context stands in for the AllOf.
+        # One zero-delay boot per member in member order, exactly where
+        # the generator path boots its member processes; the join context
+        # stands in for the AllOf.
         ctx = _BatchTrip(engine, worker, len(ops))
         for idx, verb in enumerate(ops):
             boot = engine.timeout(0)
             boot._cb1 = _VerbTrip(self, verb, None, ctx, idx)
-        return None
-
-    def _batch_closed(self, ops, mn_nic: Nic):
-        """Whole-doorbell closed form: every member's four stage
-        completions as prefix sums / running maxes over the FIFO
-        recurrences (numpy for long batches, scalar twins otherwise).
-
-        Only valid when the member submission order *is* the FIFO service
-        order at the MN NIC: all N requests must clear the CN NIC before
-        the first response reaches the MN, else request/response service
-        would interleave there and the stage-wise chains below would
-        misorder the queue.  Returns None (touching nothing) when that
-        guard fails - the caller falls back to event-driven member trips
-        - else ``(results, completion_time)``.
-        """
-        engine = self.engine
-        cfg = self._config
-        cn = self._cn_nic
-        req: list = []
-        resp: list = []
-        extras: list = []
-        atomic = cfg.atomic_extra_ns
-        for verb in ops:
-            r, p = _verb_sizes(verb)
-            req.append(r)
-            resp.append(p)
-            cls = verb.__class__
-            extras.append(atomic if (cls is CasOp or cls is FaaOp) else 0)
-        # Guard (pure arithmetic, no counters touched yet): with the
-        # engine idle every station is free, so member i's request clears
-        # the CN NIC at t0 + cumsum(cn_svc)[i] and the first response is
-        # submitted to the MN NIC at t0 + cn_svc[0] + prop + mn_svc[0].
-        cn_tail = 0
-        for r in req[1:]:
-            cn_tail += cn.service_ns(r)
-        if cfg.prop_ns + mn_nic.service_ns(req[0]) + extras[0] <= cn_tail:
-            return None
-        prop = cfg.prop_ns
-        d1 = cn.charge_burst(req)
-        d2 = mn_nic.charge_chain(d1, req, extras, offset=prop)
-        stats = self.stats
-        memory = self._memories[addr_mn(ops[0].addr)]
-        lease_hook = self._lease_hook
-        client_id = self.client_id
-        results = []
-        append = results.append
-        # One exact-class dispatch per member folds OpStats.count_verb
-        # and apply_verb together (same fields, same Memory methods).
-        for verb, done in zip(ops, d2):
-            cls = verb.__class__
-            offset = verb.addr & OFFSET_MASK
-            if cls is ReadOp:
-                size = verb.size
-                stats.reads += 1
-                stats.bytes_read += size
-                result = memory.read(offset, size)
-            elif cls is WriteOp:
-                data = verb.data
-                stats.writes += 1
-                stats.bytes_written += len(data)
-                memory.write(offset, data)
-                result = None
-            elif cls is CasOp:
-                stats.cas += 1
-                result = memory.cas_u64(offset, verb.expected,
-                                        verb.desired)
-            else:
-                stats.faa += 1
-                result = memory.faa_u64(offset, verb.delta)
-            if lease_hook is not None \
-                    and getattr(verb, "lease", None) is not None:
-                lease_hook(client_id, verb, result, done)
-            append(result)
-        stats.messages += len(ops)
-        d3 = mn_nic.charge_chain(d2, resp, offset=cfg.mem_access_ns)
-        d4 = cn.charge_chain(d3, resp, offset=prop)
-        return results, d4[-1]
 
     # -- generator driver -------------------------------------------------
     def run(self, gen: OpGenerator):
@@ -1073,32 +865,22 @@ class SimExecutor:
                     exc.attach_fault_trace(self._injector.trace_tuple())
                 raise
             if trips and self.monitor is None:
-                # Clean fast path: complete the op synchronously (idle
-                # engine, closed-form arithmetic, no events) or post it
-                # as a trip and tell the dispatch loop we already
-                # subscribed ourselves.  engine._active is the process
-                # currently being dispatched - our driving client - and
-                # is None when this generator is stepped by hand, which
-                # falls back to the yield-per-stage path below.
+                # Clean fast path: post the op as a trip and tell the
+                # dispatch loop we already subscribed ourselves.
+                # engine._active is the process currently being
+                # dispatched - our driving client - and is None when this
+                # generator is stepped by hand, which falls back to the
+                # yield-per-stage path below.
                 worker = engine._active
                 if worker is not None:
                     cls = op.__class__
                     if cls is ReadOp or cls is WriteOp \
                             or cls is CasOp or cls is FaaOp:
-                        if (self._vector and engine._deadline is None
-                                and not engine._fifo and not engine._heap):
-                            fast = self._scalar_sync(op)
-                            if fast is not _SYNC_MISS:
-                                result = fast
-                                continue
                         self._scalar_fast(op, worker)
                         result = yield _DEFER
                         continue
                     if cls is Batch:
-                        fast = self._batch_fast(op, worker)
-                        if fast is not None:
-                            result = fast
-                            continue
+                        self._batch_fast(op, worker)
                         result = yield _DEFER
                         continue
             try:

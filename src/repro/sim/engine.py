@@ -262,12 +262,6 @@ class Engine:
         self._slow = _slow_requested() if slow is None else bool(slow)
         self._pool: List[Timeout] = []
         self._active: Optional[Process] = None
-        #: Time bound of the loop currently driving the engine (``until``
-        #: or ``limit``), None when unbounded.  The synchronous verb
-        #: fast-forward in repro.dm.rdma only runs unbounded: with a
-        #: deadline armed, every stage must be a real event so until-
-        #: slicing and limit errors stay bit-identical to the reference.
-        self._deadline: Optional[int] = None
         self.events_processed: int = 0
 
     # -- scheduling ---------------------------------------------------
@@ -392,7 +386,6 @@ class Engine:
         refcount = sys.getrefcount
         pool_cap = _POOL_CAP
         processed = 0
-        self._deadline = until if until is not None else limit
         try:
             while heap or fifo:
                 if fifo:
@@ -514,16 +507,6 @@ class Engine:
                                 for fn in spill:
                                     fn(event)
                 if stop is not None and stop._value is not PENDING:
-                    # A synchronous verb fast-forward may have advanced
-                    # the clock past this batch's timestamp before the
-                    # stop process succeeded; its completion event (and
-                    # nothing else - sync runs only on idle queues) is
-                    # then still pending at self.now.  The reference
-                    # path always consumes same-time completions before
-                    # returning, so drain up to the clock first.
-                    if ((fifo and fifo[0]._when <= self.now)
-                            or (heap and heap[0][0] <= self.now)):
-                        continue
                     return self.now
             if stop is not None and stop._value is PENDING:
                 raise SimulationError(
@@ -534,7 +517,6 @@ class Engine:
         finally:
             self.events_processed += processed
             self._active = None
-            self._deadline = None
 
     def _run_ref(self, until: Optional[int] = None) -> int:
         """Reference dispatch loop: one event at a time, merged by

@@ -13,6 +13,7 @@ from repro.bench import (
     speedup,
     timed_run,
 )
+from repro.bench.enginebench import PATTERNS, run_pattern
 from repro.bench.harness import PAPER_CACHE_BYTES, PAPER_KEYS
 from repro.dm import Cluster, ClusterConfig
 from repro.errors import ConfigError
@@ -76,3 +77,15 @@ def test_speedup_and_ratio_summary():
     ratios = ratio_summary({"Sphinx": 6.0, "ART": 2.0, "SMART": 3.0})
     assert ratios == {"ART": 3.0, "SMART": 2.0}
     assert "Sphinx" not in ratios
+
+
+@pytest.mark.parametrize("value,mode", [
+    ("", "fast"), ("0", "fast"), ("1", "slow"), ("true", "slow"),
+])
+def test_enginebench_mode_label_follows_engine(monkeypatch, value, mode):
+    # Engine treats any REPRO_SIM_SLOW other than ""/"0" as slow; the
+    # label must name the dispatch path that actually ran.
+    monkeypatch.setenv("REPRO_SIM_SLOW", value)
+    for name in PATTERNS:
+        cell = run_pattern(name, 64, repeat=1)
+        assert cell["engine_mode"] == mode
