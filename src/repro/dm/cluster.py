@@ -149,12 +149,6 @@ class Cluster:
         self.recovery = manager
         return manager
 
-    def detach_recovery(self):
-        """Stop lease tracking: executors created from here on run the
-        clean path.  Returns the detached manager."""
-        manager, self.recovery = self.recovery, None
-        return manager
-
     def _next_client_id(self, prefix: str) -> str:
         self._client_seq += 1
         return f"{prefix}#{self._client_seq}"

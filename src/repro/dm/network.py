@@ -17,7 +17,6 @@ Defaults approximate the paper's testbed (ConnectX-6, ~2 us RTT,
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from ..sim import Engine, FifoServer
@@ -100,11 +99,8 @@ class Nic:
         """
         self.messages += 1
         self.payload_bytes += payload_bytes
-        service = self._service_ns.get(payload_bytes)
-        if service is None:
-            service = self._service_ns[payload_bytes] = \
-                self.config.msg_service_ns(self.side, payload_bytes)
-        return self.server.submit(service + extra_ns, arrive_delay)
+        return self.server.submit(self.service_ns(payload_bytes) + extra_ns,
+                                  arrive_delay)
 
     def service_ns(self, payload_bytes: int) -> int:
         """Memoized service time for one message of ``payload_bytes``."""
@@ -116,35 +112,17 @@ class Nic:
 
     def charge(self, payload_bytes: int, extra_ns: int = 0,
                arrive_delay: int = 0) -> int:
-        """Account one message and advance the FIFO station, returning
+        """Account one message and book it on the FIFO station, returning
         the **absolute** completion time without scheduling an event.
 
         Exactly :meth:`process` minus the event: same counters, same
         station math.  The verb trips in :mod:`repro.dm.rdma` use this to
-        schedule one pooled timeout per stage instead of going through
-        ``FifoServer.submit``.
+        schedule one pooled timeout per stage.
         """
         self.messages += 1
         self.payload_bytes += payload_bytes
-        service = self.service_ns(payload_bytes) + extra_ns
-        server = self.server
-        now = self.engine.now
-        if server.capacity == 1:
-            start = now + arrive_delay
-            free = server._free1
-            if free > start:
-                start = free
-            done = start + service
-            server._free1 = done
-            server.busy_time += service
-            server.jobs += 1
-            return done
-        free_at = heapq.heappop(server._free_at)
-        done = max(now + arrive_delay, free_at) + service
-        heapq.heappush(server._free_at, done)
-        server.busy_time += service
-        server.jobs += 1
-        return done
+        return self.server.reserve(self.service_ns(payload_bytes) + extra_ns,
+                                   arrive_delay)
 
     def utilization(self) -> float:
         return self.server.utilization()

@@ -186,6 +186,73 @@ def _verb_sizes(op: Verb) -> Tuple[int, int]:
 
 
 # --------------------------------------------------------------------------
+# The executor core shared by both clocks
+# --------------------------------------------------------------------------
+#
+# Under an attached FaultPlan each verb gets one verdict from
+# ``FaultInjector.decide``.  ``delay``/``duplicate``/``stale_cas`` perturb
+# a verb that completes (:func:`_perturb`); every other verdict ends the
+# verb with the exception :func:`_fault_error` builds.  Either executor
+# counts a verb in OpStats if and only if its request left the CN NIC
+# (``Decision.sent``).
+
+_COMPLETING = ("delay", "duplicate", "stale_cas")
+
+
+def _perturb(kind: str, memories: Mapping[int, Memory], op: Verb,
+             result: Any) -> Any:
+    """The after-effect of a completing fault on the verb's result."""
+    if kind == "duplicate":
+        apply_verb(memories, op)  # phantom retransmission
+    elif kind == "stale_cas" and op.__class__ is CasOp and result[0]:
+        return (False, op.expected)
+    return result
+
+
+def _fault_error(decision, client_id: str, op: Verb) -> Exception:
+    """The exception ending a verb whose completion never arrives."""
+    kind = decision.kind
+    if kind == "crashed":
+        return ClientCrash(f"client {client_id} has crashed (crash_cn)",
+                           client=client_id)
+    if kind == "crash_cn":
+        return ClientCrash(f"client {client_id} crashed (crash_cn)",
+                           client=client_id, applied=decision.applied)
+    if kind == "mn_unavailable":
+        mn = addr_mn(op.addr)
+        return MNUnavailable(f"MN {mn} crashed (crash_mn)",
+                             mn=mn, addr=op.addr)
+    if kind == "nak":
+        return InjectedFault("NAK: unreachable address",
+                             kind="nak", addr=op.addr)
+    if kind != "drop":  # pragma: no cover - the decision set is closed
+        return SimulationError(f"unknown fault decision {kind!r}")
+    return InjectedFault(
+        "completion dropped" if decision.applied else "request dropped",
+        kind="drop", addr=op.addr, applied=decision.applied)
+
+
+def _budget_error(ex) -> SimulationError:
+    return SimulationError(
+        f"verb budget exceeded for {ex.client_id}: "
+        f"{ex.stats.messages} messages - livelock under faults?")
+
+
+def _give_up(ex, exc: RetryLimitExceeded) -> None:
+    """Attach the client's counters - and, under a fault plan, the
+    recent fault trace - to an op that exhausted its retry budget."""
+    exc.attach_context(ex.client_id, replace(ex.stats))
+    if ex._injector is not None:
+        exc.attach_fault_trace(ex._injector.trace_tuple())
+
+
+def _trace_fault(tracer, client_id: str, exc: Exception, now: int) -> None:
+    """Tag a fault delivered into the client generator on its span."""
+    kind = exc.kind if isinstance(exc, InjectedFault) else "mn_unavailable"
+    tracer.on_fault(client_id, kind, exc.addr or 0, now)
+
+
+# --------------------------------------------------------------------------
 # Executors
 # --------------------------------------------------------------------------
 
@@ -209,10 +276,7 @@ class DirectExecutor:
         self._injector = injector
         self._tracer = tracer
         self._lease_hook = lease_hook
-        self._apply_entry = self._apply if injector is None \
-            else self._apply_faulted
         self._budget = 0  # message ceiling armed by arm_verb_budget
-        self._crashed = False  # latched by a crash_cn decision
 
     def arm_verb_budget(self, extra_messages: int) -> None:
         """Fail with SimulationError once ``stats.messages`` exceeds its
@@ -242,146 +306,84 @@ class DirectExecutor:
         return result
 
     def _apply_faulted(self, verb: Verb) -> Any:
-        """The injector-aware verb path (only bound when a FaultPlan is
-        attached, so the clean path stays untouched)."""
-        injector = self._injector
-        now = self._clock()
-        if self._crashed:
-            raise ClientCrash(
-                f"client {self.client_id} has crashed (crash_cn)",
-                client=self.client_id)
-        if injector.dead_mns:
-            # Before address_ok: a blanked region still passes the range
-            # check and would hand back all-zero "data" - silent wrong
-            # answers instead of a typed failure.
-            mn = addr_mn(verb.addr)
-            if injector.mn_dead(mn):
-                injector.record_mn_unavailable(self.client_id, verb, now)
-                self.stats.faults_injected += 1
-                raise MNUnavailable(f"MN {mn} crashed (crash_mn)",
-                                    mn=mn, addr=verb.addr)
-        if not injector.address_ok(verb):
-            injector.record_nak(self.client_id, verb, now)
-            self.stats.faults_injected += 1
-            raise InjectedFault("NAK: unreachable address",
-                                kind="nak", addr=verb.addr)
-        decision = injector.decide(self.client_id, verb, now)
+        """One verb under the attached fault plan's verdict."""
+        decision = self._injector.decide(self.client_id, verb, self._clock())
+        stats = self.stats
         if decision is None:
+            stats.count_verb(verb)
             return self._apply(verb)
-        self.stats.faults_injected += 1
         kind = decision.kind
+        if kind != "crashed":
+            stats.faults_injected += 1
+        if decision.sent:
+            stats.count_verb(verb)
         tracer = self._tracer
-        if kind == "crash_cn":
-            self._crashed = True
-            applied = decision.applied
-            if applied:
-                self._apply(verb)  # the request escaped the dying NIC
-            raise ClientCrash(
-                f"client {self.client_id} crashed (crash_cn)",
-                client=self.client_id, applied=applied)
-        if kind == "drop":
-            if decision.applied:
-                self._apply(verb)  # side effect lands, completion lost
-                if tracer is not None:
-                    tracer.tag_verb(self.client_id, "drop")
-            raise InjectedFault("completion dropped", kind="drop",
-                                addr=verb.addr, applied=decision.applied)
-        if kind == "delay":  # untimed executor: a delay is invisible
-            result = self._apply(verb)
-        elif kind == "duplicate":
-            result = self._apply(verb)
-            apply_verb(self._memories, verb)  # phantom retransmission
-        elif kind == "stale_cas":
-            result = self._apply(verb)
-            if verb.__class__ is CasOp and result[0]:
-                result = (False, verb.expected)
-        else:
-            raise SimulationError(f"unknown fault decision {kind!r}")
-        if tracer is not None:
-            tracer.tag_verb(self.client_id, kind)
-        return result
+        if kind in _COMPLETING:  # an untimed executor cannot show a delay
+            result = _perturb(kind, self._memories, verb, self._apply(verb))
+            if tracer is not None:
+                tracer.tag_verb(self.client_id, kind)
+            return result
+        if decision.applied:
+            # crash_cn: the request escaped the dying NIC; drop: the side
+            # effect landed and the completion was lost.
+            self._apply(verb)
+            if tracer is not None:
+                tracer.tag_verb(self.client_id, kind)
+        raise _fault_error(decision, self.client_id, verb)
 
     def execute(self, op: OpOrBatch) -> Any:
-        if self._budget and self.stats.messages > self._budget:
-            raise SimulationError(
-                f"verb budget exceeded for {self.client_id}: "
-                f"{self.stats.messages} messages - livelock under faults?")
+        """Apply one yielded op: a verb, a doorbell batch or CN compute."""
+        stats = self.stats
         cls = op.__class__
         if cls is LocalCompute:
-            self.stats.local_compute_ns += op.ns
+            stats.local_compute_ns += op.ns
             return None
-        if cls is Batch:
-            self.stats.batches += 1
-            self.stats.round_trips += 1
-            results = []
-            if self._injector is None:
-                for verb in op.ops:
-                    self.stats.count_verb(verb)
-                    results.append(self._apply(verb))
-                return results
-            # Doorbell under faults: every verb was posted, so surviving
-            # members still apply; the batch completion is lost if any
-            # member's completion is.
-            failure = None
+        stats.round_trips += 1
+        faulted = self._injector is not None
+        if cls is not Batch:
+            if faulted:
+                return self._apply_faulted(op)
+            stats.count_verb(op)
+            return self._apply(op)
+        stats.batches += 1
+        results = []
+        if not faulted:
             for verb in op.ops:
-                self.stats.count_verb(verb)
-                try:
-                    results.append(self._apply_faulted(verb))
-                except InjectedFault as exc:
-                    failure = exc
-                    results.append(None)
-            if failure is not None:
-                raise failure
+                stats.count_verb(verb)
+                results.append(self._apply(verb))
             return results
-        self.stats.round_trips += 1
-        self.stats.count_verb(op)
-        return self._apply_entry(op)
+        # Doorbell under faults: every verb was posted, so surviving
+        # members still apply; the batch completion is lost if any
+        # member's completion is.
+        failure = None
+        for verb in op.ops:
+            try:
+                results.append(self._apply_faulted(verb))
+            except InjectedFault as exc:
+                failure = exc
+                results.append(None)
+        if failure is not None:
+            raise failure
+        return results
 
     def run(self, gen: OpGenerator) -> Any:
         """Drive ``gen`` to completion; returns its return value.
 
         Injected faults are delivered *into* the client generator with
         ``gen.throw`` - the client sees them at its ``yield``, exactly
-        where a real completion error would surface.
+        where a real completion error would surface.  With a tracer
+        attached the run is one span.
         """
-        if self._tracer is not None:
-            return self._run_traced(gen)
+        tracer = self._tracer
+        span = None
+        if tracer is not None:
+            span = tracer.op_begin(self.client_id,
+                                   getattr(gen, "__name__", "op"),
+                                   self._clock())
+        status = "error"
         result = None
         pending: Exception | None = None
-        while True:
-            try:
-                if pending is not None:
-                    exc, pending = pending, None
-                    op = gen.throw(exc)
-                else:
-                    op = gen.send(result)
-            except StopIteration as stop:
-                return stop.value
-            except RetryLimitExceeded as exc:
-                exc.attach_context(self.client_id, replace(self.stats))
-                if self._injector is not None:
-                    exc.attach_fault_trace(self._injector.trace_tuple())
-                raise
-            try:
-                result = self.execute(op)
-            except (InjectedFault, MNUnavailable) as exc:
-                # Both are delivered into the generator so clients can
-                # retry (InjectedFault) or degrade (MNUnavailable) at
-                # the yield; ClientCrash deliberately is NOT - a dead CN
-                # runs no cleanup, so the generator is just abandoned.
-                pending = exc
-                result = None
-
-    def _run_traced(self, gen: OpGenerator) -> Any:
-        """The :meth:`run` loop with span bracketing (only entered when a
-        tracer is attached, so the clean path stays allocation-free)."""
-        tracer = self._tracer
-        span = tracer.op_begin(self.client_id,
-                               getattr(gen, "__name__", "op"), self._clock())
-        status = "error"
         try:
-            result = None
-            pending: Exception | None = None
             while True:
                 try:
                     if pending is not None:
@@ -394,26 +396,27 @@ class DirectExecutor:
                     return stop.value
                 except RetryLimitExceeded as exc:
                     status = "failed"
-                    exc.attach_context(self.client_id, replace(self.stats))
-                    if self._injector is not None:
-                        exc.attach_fault_trace(self._injector.trace_tuple())
+                    _give_up(self, exc)
                     raise
-                if op.__class__ is not LocalCompute:
+                if tracer is not None and op.__class__ is not LocalCompute:
                     tracer.on_round_trip(span)
+                if self._budget and self.stats.messages > self._budget:
+                    raise _budget_error(self)
                 try:
                     result = self.execute(op)
-                except InjectedFault as exc:
-                    tracer.on_fault(self.client_id, exc.kind,
-                                    exc.addr or 0, self._clock())
-                    pending = exc
-                    result = None
-                except MNUnavailable as exc:
-                    tracer.on_fault(self.client_id, "mn_unavailable",
-                                    exc.addr or 0, self._clock())
+                except (InjectedFault, MNUnavailable) as exc:
+                    # Both are delivered into the generator so clients can
+                    # retry (InjectedFault) or degrade (MNUnavailable) at
+                    # the yield; ClientCrash deliberately is NOT - a dead
+                    # CN runs no cleanup, so the generator is abandoned.
+                    if tracer is not None:
+                        _trace_fault(tracer, self.client_id, exc,
+                                     self._clock())
                     pending = exc
                     result = None
         finally:
-            tracer.op_end(span, self._clock(), status)
+            if tracer is not None:
+                tracer.op_end(span, self._clock(), status)
 
 
 class _VerbTrip:
@@ -560,38 +563,42 @@ class SimExecutor:
         self._injector = injector
         self._tracer = tracer
         self._lease_hook = lease_hook
-        self._verb_entry = self._verb if injector is None \
-            else self._verb_faulted
         self._budget = 0  # message ceiling armed by arm_verb_budget
-        self._crashed = False  # latched by a crash_cn decision
         # Verb trips (continuation objects replacing the per-stage
         # generator resume; event-stream-identical to _verb) need the
-        # fast dispatch loop and an unobserved schedule: an injector or
-        # tracer routes back through the generator paths those features
-        # hook.  A monitor is checked per-op in run() since it can be
-        # attached after construction.
-        self._trips = (injector is None and tracer is None
-                       and not engine._slow)
+        # fast dispatch loop and an unobserved schedule: a monitor,
+        # injector or tracer routes back through the generator paths
+        # those hooks observe.
+        self._trips = (monitor is None and injector is None
+                       and tracer is None and not engine._slow)
 
     def arm_verb_budget(self, extra_messages: int) -> None:
         """See :meth:`DirectExecutor.arm_verb_budget`."""
         self._budget = self.stats.messages + extra_messages
 
     # -- single verb ----------------------------------------------------
-    def _verb(self, op: Verb):
-        """Timed execution of one verb (a generator of engine events)."""
+    def _verb(self, op: Verb, lost: Optional[str] = None):
+        """Timed execution of one verb (a generator of engine events).
+
+        ``lost`` names the fault of a verb whose side effect lands at the
+        MN but whose completion never reaches the client: after the apply
+        a ``"drop"`` waits out the completion timeout and a
+        ``"crash_cn"`` ends at once.  The monitor still sees the whole
+        issue/apply/complete life cycle - the access happened - so no
+        inflight entry dangles.
+        """
         cfg = self._config
+        engine = self.engine
         mn_nic = self._mn_nics[addr_mn(op.addr)]
         req_bytes, resp_bytes = _verb_sizes(op)
         cls = op.__class__
         extra = cfg.atomic_extra_ns if (cls is CasOp or cls is FaaOp) else 0
         self.stats.count_verb(op)
         monitor = self.monitor
-        tracer = self._tracer
         token = None
-        t0 = self.engine.now if tracer is not None else 0
+        t0 = engine.now
         if monitor is not None:
-            token = monitor.on_issue(self.client_id, op, self.engine.now)
+            token = monitor.on_issue(self.client_id, op, t0)
 
         # Request through the CN NIC ...
         yield self._cn_nic.process(req_bytes)
@@ -601,170 +608,60 @@ class SimExecutor:
         # Side effect happens the instant the MN NIC executes the verb.
         result = apply_verb(self._memories, op)
         if monitor is not None:
-            monitor.on_apply(token, self.engine.now, result)
-        if self._lease_hook is not None \
-                and getattr(op, "lease", None) is not None:
-            self._lease_hook(self.client_id, op, result, self.engine.now)
-        # Response: DRAM/DMA access, back through the MN NIC ...
-        yield mn_nic.process(resp_bytes, arrive_delay=cfg.mem_access_ns)
-        # ... across the wire, delivered by the CN NIC.
-        yield self._cn_nic.process(resp_bytes, arrive_delay=cfg.prop_ns)
-        if monitor is not None:
-            monitor.on_complete(token, self.engine.now)
-        if tracer is not None:
-            tracer.on_verb(self.client_id, op, t0, self.engine.now)
-        return result
-
-    def _verb_faulted(self, op: Verb):
-        """Injector-aware timed verb path (only bound when a FaultPlan is
-        attached; the clean ``_verb`` path is byte-identical to before)."""
-        injector = self._injector
-        engine = self.engine
-        if self._budget and self.stats.messages > self._budget:
-            raise SimulationError(
-                f"verb budget exceeded for {self.client_id}: "
-                f"{self.stats.messages} messages - livelock under faults?")
-        tracer = self._tracer
-        t0 = engine.now
-        if self._crashed:
-            raise ClientCrash(
-                f"client {self.client_id} has crashed (crash_cn)",
-                client=self.client_id)
-        if injector.dead_mns:
-            # Before address_ok: a blanked region still passes the range
-            # check and would hand back all-zero "data" - silent wrong
-            # answers instead of a typed failure.  Charge the send plus
-            # one completion timeout, then fail fast (no retry storm).
-            mn = addr_mn(op.addr)
-            if injector.mn_dead(mn):
-                injector.record_mn_unavailable(self.client_id, op,
-                                               engine.now)
-                self.stats.faults_injected += 1
-                req_bytes, _ = _verb_sizes(op)
-                yield self._cn_nic.process(req_bytes)
-                yield engine.timeout(injector.plan.timeout_ns)
-                if tracer is not None:
-                    tracer.on_verb(self.client_id, op, t0, engine.now,
-                                   fault="mn_unavailable")
-                raise MNUnavailable(f"MN {mn} crashed (crash_mn)",
-                                    mn=mn, addr=op.addr)
-        if not injector.address_ok(op):
-            injector.record_nak(self.client_id, op, engine.now)
-            self.stats.count_verb(op)
-            self.stats.faults_injected += 1
-            req_bytes, _ = _verb_sizes(op)
-            yield self._cn_nic.process(req_bytes)
-            yield engine.timeout(injector.plan.timeout_ns)
-            if tracer is not None:
-                tracer.on_verb(self.client_id, op, t0, engine.now,
-                               fault="nak")
-            raise InjectedFault("NAK: unreachable address",
-                                kind="nak", addr=op.addr)
-        decision = injector.decide(self.client_id, op, engine.now)
-        if decision is None:
-            result = yield from self._verb(op)
-            return result
-        self.stats.faults_injected += 1
-        kind = decision.kind
-        if kind == "crash_cn":
-            self._crashed = True
-            if not decision.applied:
-                # The CN died before the request left its NIC: no side
-                # effect, no NIC load, no completion - just a corpse.
-                raise ClientCrash(
-                    f"client {self.client_id} crashed (crash_cn)",
-                    client=self.client_id, applied=False)
-            # The request escaped the dying NIC: the side effect lands
-            # at the MN.  The monitor sees the full issue/apply/complete
-            # life cycle (the access happened; the write interval closes
-            # at apply time) so no inflight entry dangles from a corpse.
-            cfg = self._config
-            req_bytes, _ = _verb_sizes(op)
-            self.stats.count_verb(op)
-            mn_nic = self._mn_nics[addr_mn(op.addr)]
-            cls = op.__class__
-            extra = cfg.atomic_extra_ns \
-                if (cls is CasOp or cls is FaaOp) else 0
-            monitor = self.monitor
-            token = None
-            if monitor is not None:
-                token = monitor.on_issue(self.client_id, op, engine.now)
-            yield self._cn_nic.process(req_bytes)
-            yield mn_nic.process(req_bytes, extra_ns=extra,
-                                 arrive_delay=cfg.prop_ns)
-            result = apply_verb(self._memories, op)
-            if monitor is not None:
-                monitor.on_apply(token, engine.now, result)
-                monitor.on_complete(token, engine.now)
-            if self._lease_hook is not None \
-                    and getattr(op, "lease", None) is not None:
-                self._lease_hook(self.client_id, op, result, engine.now)
-            if tracer is not None:
-                tracer.on_verb(self.client_id, op, t0, engine.now,
-                               fault="crash_cn")
-            raise ClientCrash(
-                f"client {self.client_id} crashed (crash_cn)",
-                client=self.client_id, applied=True)
-        if kind == "delay":
-            result = yield from self._verb(op)
-            yield engine.timeout(decision.delay_ns)
-            if tracer is not None:
-                tracer.tag_verb(self.client_id, kind)
-            return result
-        if kind == "duplicate":
-            result = yield from self._verb(op)
-            apply_verb(self._memories, op)  # phantom retransmission
-            if tracer is not None:
-                tracer.tag_verb(self.client_id, kind)
-            return result
-        if kind == "stale_cas":
-            result = yield from self._verb(op)
-            if tracer is not None:
-                tracer.tag_verb(self.client_id, kind)
-            if op.__class__ is CasOp and result[0]:
-                return (False, op.expected)
-            return result
-        if kind != "drop":  # pragma: no cover - decision set is closed
-            raise SimulationError(f"unknown fault decision {kind!r}")
-        cfg = self._config
-        req_bytes, _ = _verb_sizes(op)
-        self.stats.count_verb(op)
-        if not decision.applied:
-            # Request lost in the fabric: the MN never saw it.  Charge
-            # the send plus the client's completion timeout.
-            yield self._cn_nic.process(req_bytes)
-            yield engine.timeout(injector.plan.timeout_ns)
-            if tracer is not None:
-                tracer.on_verb(self.client_id, op, t0, engine.now,
-                               fault="drop")
-            raise InjectedFault("request dropped", kind="drop",
-                                addr=op.addr, applied=False)
-        # Applied at the MN; the completion never arrives.  The monitor
-        # sees the full issue/apply/complete life cycle - the access
-        # happened - with completion at the client's timeout decision.
-        mn_nic = self._mn_nics[addr_mn(op.addr)]
-        cls = op.__class__
-        extra = cfg.atomic_extra_ns if (cls is CasOp or cls is FaaOp) else 0
-        monitor = self.monitor
-        token = None
-        if monitor is not None:
-            token = monitor.on_issue(self.client_id, op, engine.now)
-        yield self._cn_nic.process(req_bytes)
-        yield mn_nic.process(req_bytes, extra_ns=extra,
-                             arrive_delay=cfg.prop_ns)
-        result = apply_verb(self._memories, op)
-        if monitor is not None:
             monitor.on_apply(token, engine.now, result)
         if self._lease_hook is not None \
                 and getattr(op, "lease", None) is not None:
             self._lease_hook(self.client_id, op, result, engine.now)
-        yield engine.timeout(injector.plan.timeout_ns)
+        if lost is None:
+            # Response: DRAM/DMA access, back through the MN NIC ...
+            yield mn_nic.process(resp_bytes, arrive_delay=cfg.mem_access_ns)
+            # ... across the wire, delivered by the CN NIC.
+            yield self._cn_nic.process(resp_bytes, arrive_delay=cfg.prop_ns)
+        elif lost == "drop":
+            yield engine.timeout(self._injector.plan.timeout_ns)
         if monitor is not None:
             monitor.on_complete(token, engine.now)
-        if tracer is not None:
-            tracer.on_verb(self.client_id, op, t0, engine.now, fault="drop")
-        raise InjectedFault("completion dropped", kind="drop",
-                            addr=op.addr, applied=True)
+        if self._tracer is not None:
+            self._tracer.on_verb(self.client_id, op, t0, engine.now,
+                                 fault=lost)
+        return result
+
+    def _unanswered(self, op: Verb, fault: str):
+        """A request that leaves the CN NIC and never gets an answer (the
+        MN is dead, NAKs it, or the fabric drops it): charge the send,
+        then wait out the client's completion timeout."""
+        engine = self.engine
+        t0 = engine.now
+        self.stats.count_verb(op)
+        req_bytes, _ = _verb_sizes(op)
+        yield self._cn_nic.process(req_bytes)
+        yield engine.timeout(self._injector.plan.timeout_ns)
+        if self._tracer is not None:
+            self._tracer.on_verb(self.client_id, op, t0, engine.now,
+                                 fault=fault)
+
+    def _verb_faulted(self, op: Verb):
+        """One timed verb under the attached fault plan's verdict."""
+        decision = self._injector.decide(self.client_id, op, self.engine.now)
+        if decision is None:
+            result = yield from self._verb(op)
+            return result
+        kind = decision.kind
+        if kind != "crashed":
+            self.stats.faults_injected += 1
+        if kind in _COMPLETING:
+            result = yield from self._verb(op)
+            if kind == "delay":
+                yield self.engine.timeout(decision.delay_ns)
+            result = _perturb(kind, self._memories, op, result)
+            if self._tracer is not None:
+                self._tracer.tag_verb(self.client_id, kind)
+            return result
+        if decision.applied:
+            yield from self._verb(op, kind)
+        elif decision.sent:
+            yield from self._unanswered(op, kind)
+        raise _fault_error(decision, self.client_id, op)
 
     def _perform(self, op: OpOrBatch):
         cls = op.__class__
@@ -772,33 +669,36 @@ class SimExecutor:
             self.stats.local_compute_ns += op.ns
             yield self.engine.timeout(op.ns)
             return None
-        if cls is Batch:
-            self.stats.batches += 1
-            self.stats.round_trips += 1
-            if self._injector is not None:
-                # Doorbell under faults: members run sequentially so a
-                # dropped completion can surface per member; surviving
-                # members still apply, the batch completion is lost if
-                # any member's completion is.
-                results = []
-                failure = None
-                for verb in op.ops:
-                    try:
-                        member = yield from self._verb_faulted(verb)
-                    except InjectedFault as exc:
-                        failure = exc
-                        member = None
-                    results.append(member)
-                if failure is not None:
-                    raise failure
-                return results
-            procs = [self.engine.process(self._verb(verb), name="verb")
-                     for verb in op.ops]
-            results = yield self.engine.all_of(procs)
-            return results
         self.stats.round_trips += 1
-        result = yield from self._verb_entry(op)
-        return result
+        faulted = self._injector is not None
+        if cls is not Batch:
+            if faulted:
+                result = yield from self._verb_faulted(op)
+            else:
+                result = yield from self._verb(op)
+            return result
+        self.stats.batches += 1
+        if faulted:
+            # Doorbell under faults: members run sequentially so a
+            # dropped completion can surface per member; surviving
+            # members still apply, the batch completion is lost if
+            # any member's completion is.
+            results = []
+            failure = None
+            for verb in op.ops:
+                try:
+                    member = yield from self._verb_faulted(verb)
+                except InjectedFault as exc:
+                    failure = exc
+                    member = None
+                results.append(member)
+            if failure is not None:
+                raise failure
+            return results
+        procs = [self.engine.process(self._verb(verb), name="verb")
+                 for verb in op.ops]
+        results = yield self.engine.all_of(procs)
+        return results
 
     # -- verb trips (clean fast path) -------------------------------------
     def _scalar_fast(self, op: Verb, worker) -> None:
@@ -841,69 +741,22 @@ class SimExecutor:
         """Drive ``gen`` under the clock; yields engine events throughout.
 
         Injected faults are delivered into the client generator with
-        ``gen.throw``, exactly like :meth:`DirectExecutor.run`.
+        ``gen.throw``, exactly like :meth:`DirectExecutor.run`.  With a
+        tracer attached the run is one span; the traced schedule stays
+        bit-identical because the tracer never creates engine events.
         """
-        if self._tracer is not None:
-            result = yield from self._run_traced(gen)
-            return result
+        tracer = self._tracer
+        engine = self.engine
+        span = None
+        if tracer is not None:
+            span = tracer.op_begin(self.client_id,
+                                   getattr(gen, "__name__", "op"),
+                                   engine.now)
+        status = "error"
         result = None
         pending: Exception | None = None
         trips = self._trips
-        engine = self.engine
-        while True:
-            try:
-                if pending is not None:
-                    exc, pending = pending, None
-                    op = gen.throw(exc)
-                else:
-                    op = gen.send(result)
-            except StopIteration as stop:
-                return stop.value
-            except RetryLimitExceeded as exc:
-                exc.attach_context(self.client_id, replace(self.stats))
-                if self._injector is not None:
-                    exc.attach_fault_trace(self._injector.trace_tuple())
-                raise
-            if trips and self.monitor is None:
-                # Clean fast path: post the op as a trip and tell the
-                # dispatch loop we already subscribed ourselves.
-                # engine._active is the process currently being
-                # dispatched - our driving client - and is None when this
-                # generator is stepped by hand, which falls back to the
-                # yield-per-stage path below.
-                worker = engine._active
-                if worker is not None:
-                    cls = op.__class__
-                    if cls is ReadOp or cls is WriteOp \
-                            or cls is CasOp or cls is FaaOp:
-                        self._scalar_fast(op, worker)
-                        result = yield _DEFER
-                        continue
-                    if cls is Batch:
-                        self._batch_fast(op, worker)
-                        result = yield _DEFER
-                        continue
-            try:
-                result = yield from self._perform(op)
-            except (InjectedFault, MNUnavailable) as exc:
-                # Delivered into the generator (retry vs. degrade at the
-                # yield); ClientCrash is NOT - the generator of a dead
-                # CN is abandoned with its locks still held.
-                pending = exc
-                result = None
-
-    def _run_traced(self, gen: OpGenerator):
-        """The :meth:`run` loop with span bracketing (only entered when a
-        tracer is attached; the traced schedule stays bit-identical
-        because the tracer never creates engine events)."""
-        tracer = self._tracer
-        engine = self.engine
-        span = tracer.op_begin(self.client_id,
-                               getattr(gen, "__name__", "op"), engine.now)
-        status = "error"
         try:
-            result = None
-            pending: Exception | None = None
             while True:
                 try:
                     if pending is not None:
@@ -916,23 +769,42 @@ class SimExecutor:
                     return stop.value
                 except RetryLimitExceeded as exc:
                     status = "failed"
-                    exc.attach_context(self.client_id, replace(self.stats))
-                    if self._injector is not None:
-                        exc.attach_fault_trace(self._injector.trace_tuple())
+                    _give_up(self, exc)
                     raise
-                if op.__class__ is not LocalCompute:
+                if tracer is not None and op.__class__ is not LocalCompute:
                     tracer.on_round_trip(span)
+                if self._budget and self.stats.messages > self._budget:
+                    raise _budget_error(self)
+                if trips:
+                    # Clean fast path: post the op as a trip and tell the
+                    # dispatch loop we already subscribed ourselves.
+                    # engine._active is the process currently being
+                    # dispatched - our driving client - and is None when
+                    # this generator is stepped by hand, which falls back
+                    # to the yield-per-stage path below.
+                    worker = engine._active
+                    if worker is not None:
+                        cls = op.__class__
+                        if cls is ReadOp or cls is WriteOp \
+                                or cls is CasOp or cls is FaaOp:
+                            self._scalar_fast(op, worker)
+                            result = yield _DEFER
+                            continue
+                        if cls is Batch:
+                            self._batch_fast(op, worker)
+                            result = yield _DEFER
+                            continue
                 try:
                     result = yield from self._perform(op)
-                except InjectedFault as exc:
-                    tracer.on_fault(self.client_id, exc.kind,
-                                    exc.addr or 0, engine.now)
-                    pending = exc
-                    result = None
-                except MNUnavailable as exc:
-                    tracer.on_fault(self.client_id, "mn_unavailable",
-                                    exc.addr or 0, engine.now)
+                except (InjectedFault, MNUnavailable) as exc:
+                    # Delivered into the generator (retry vs. degrade at
+                    # the yield); ClientCrash is NOT - the generator of a
+                    # dead CN is abandoned with its locks still held.
+                    if tracer is not None:
+                        _trace_fault(tracer, self.client_id, exc,
+                                     engine.now)
                     pending = exc
                     result = None
         finally:
-            tracer.op_end(span, engine.now, status)
+            if tracer is not None:
+                tracer.op_end(span, engine.now, status)

@@ -1,11 +1,12 @@
 """The runtime half of fault injection.
 
 A :class:`FaultInjector` binds a :class:`FaultPlan` to a cluster's memory
-nodes.  Executors consult :meth:`decide` once per verb; the injector
-walks the plan's rules in order against its single seeded RNG and returns
-either ``None`` (verb proceeds untouched) or a :class:`Decision` that the
-executor turns into lost completions, delays, phantom retransmissions or
-stale CAS replies.  Scheduled environment rules (pokes, bit flips, MN
+nodes.  Executors consult :meth:`decide` once per verb for its whole
+fault verdict: the injector screens out crashed clients, dead MNs and
+unroutable addresses, then walks the plan's rules in order against its
+single seeded RNG and returns either ``None`` (verb proceeds untouched)
+or a :class:`Decision` that the executor turns into lost completions,
+delays, phantom retransmissions or stale CAS replies.  Scheduled environment rules (pokes, bit flips, MN
 crashes) fire from the same call, keyed on the global verb sequence
 number, and mutate memory bytes directly - invisible to the allocator and
 the sanitizer, exactly like real silent corruption.
@@ -48,10 +49,23 @@ class FaultEvent:
 
 @dataclass
 class Decision:
-    """What the executor should do to the current verb."""
-    kind: str            # "drop" | "delay" | "duplicate" | "stale_cas"
+    """What the executor should do to the current verb.
+
+    ``delay``, ``duplicate`` and ``stale_cas`` perturb a verb that
+    completes.  Every other kind loses the completion: ``crashed`` (the
+    client died on an earlier verb), ``crash_cn``, ``mn_unavailable``,
+    ``nak`` and ``drop``.
+    """
+    kind: str
     applied: bool = False  # drop/crash_cn: did the side effect land?
     delay_ns: int = 0
+
+    @property
+    def sent(self) -> bool:
+        """Whether the request left the client's NIC - the rule both
+        executors count a verb in :class:`repro.dm.rdma.OpStats` by."""
+        kind = self.kind
+        return kind != "crashed" and (kind != "crash_cn" or self.applied)
 
 
 class FaultInjector:
@@ -126,21 +140,29 @@ class FaultInjector:
             size = 8
         return 64 <= offset and offset + size <= memory.capacity
 
-    def record_nak(self, client: str, op: Verb, now: int) -> None:
-        self._record(now, client, "nak", _VERB_KIND[op.__class__], op.addr)
-
-    # -- MN liveness (crash_mn fail-fast) --------------------------------
-    def mn_dead(self, mn: int) -> bool:
-        return mn in self.dead_mns
-
-    def record_mn_unavailable(self, client: str, op: Verb,
-                              now: int) -> None:
-        self._record(now, client, "mn_unavailable",
-                     _VERB_KIND[op.__class__], op.addr)
-
     # -- the per-verb hook ----------------------------------------------
     def decide(self, client: str, op: Verb, now: int) -> Optional[Decision]:
-        """Called by executors once per verb, in issue order."""
+        """The whole fault verdict for one verb; executors call it once
+        per verb, in issue order.
+
+        Screening comes first and in this order: a client latched dead by
+        ``crash_cn``, a crashed MN, an unroutable address (NAK).  Only a
+        verb that passes all three takes a verb sequence number, fires
+        due scheduled rules and meets the plan's rules.
+        """
+        if client in self.crashed_clients:
+            return Decision("crashed")
+        if self.dead_mns and addr_mn(op.addr) in self.dead_mns:
+            # Before the address check: a blanked region still passes the
+            # range check and would hand back all-zero "data" - silent
+            # wrong answers instead of a typed failure.
+            self._record(now, client, "mn_unavailable",
+                         _VERB_KIND[op.__class__], op.addr)
+            return Decision("mn_unavailable")
+        if not self.address_ok(op):
+            self._record(now, client, "nak", _VERB_KIND[op.__class__],
+                         op.addr)
+            return Decision("nak")
         seq = self.verb_seq
         if self._fired < len(self._scheduled):
             self._run_scheduled(seq, now)

@@ -125,20 +125,6 @@ class Event:
             raise SimulationError("event value read before it triggered")
         return self._value
 
-    @property
-    def callbacks(self) -> Optional[List[Callable[["Event"], None]]]:
-        """Subscriber list view (introspection; ``None`` once processed)."""
-        if self._cb1 is _PROCESSED:
-            return None
-        out: List[Callable[["Event"], None]] = []
-        if self._proc is not None:
-            out.append(self._proc._resume_cb)
-        if self._cb1 is not None:
-            out.append(self._cb1)
-        if self._spill:
-            out.extend(self._spill)
-        return out
-
     def succeed(self, value: Any = None) -> "Event":
         if self._value is not PENDING:
             raise SimulationError("event triggered twice")

@@ -39,6 +39,25 @@ class FifoServer:
         self.busy_time: int = 0
         self.jobs: int = 0
 
+    def reserve(self, service_time: int, arrive_delay: int = 0) -> int:
+        """Book one job and return its **absolute** completion time,
+        creating no event (:meth:`submit` minus the event and the
+        argument checks)."""
+        now = self.engine.now
+        if self.capacity == 1:
+            start = now + arrive_delay
+            if self._free1 > start:
+                start = self._free1
+            done = start + service_time
+            self._free1 = done
+        else:
+            free_at = heapq.heappop(self._free_at)
+            done = max(now + arrive_delay, free_at) + service_time
+            heapq.heappush(self._free_at, done)
+        self.busy_time += service_time
+        self.jobs += 1
+        return done
+
     def submit(self, service_time: int, arrive_delay: int = 0) -> Event:
         """Enqueue a job needing ``service_time`` ns; event fires at completion.
 
@@ -50,21 +69,8 @@ class FifoServer:
             raise InvalidArgument("service_time must be >= 0")
         if arrive_delay < 0:
             raise InvalidArgument("arrive_delay must be >= 0")
-        now = self.engine.now
-        if self.capacity == 1:
-            start = now + arrive_delay
-            if self._free1 > start:
-                start = self._free1
-            done = start + service_time
-            self._free1 = done
-        else:
-            free_at = heapq.heappop(self._free_at)
-            start = max(now + arrive_delay, free_at)
-            done = start + service_time
-            heapq.heappush(self._free_at, done)
-        self.busy_time += service_time
-        self.jobs += 1
-        return self.engine.timeout(done - now)
+        done = self.reserve(service_time, arrive_delay)
+        return self.engine.timeout(done - self.engine.now)
 
     def utilization(self) -> float:
         """Fraction of elapsed simulated time this station spent busy."""

@@ -7,14 +7,20 @@ from repro.dm import (
     CasOp,
     Cluster,
     ClusterConfig,
+    DirectExecutor,
     FaaOp,
     LocalCompute,
     NetworkConfig,
     OpStats,
     ReadOp,
+    SimExecutor,
     WriteOp,
 )
-from repro.errors import SimulationError
+from repro.dm.memory import addr_mn, addr_offset
+from repro.errors import ClientCrash, InjectedFault, MNUnavailable, \
+    SimulationError
+from repro.fault import FaultPlan, crash_cn, crash_mn, delay, drop, \
+    duplicate, stale_cas
 
 
 @pytest.fixture
@@ -187,3 +193,123 @@ def test_batch_rejects_empty():
         Batch([])
     with pytest.raises(SimulationError, match="empty batch"):
         Batch(())
+
+
+def test_sim_verb_budget_without_fault_plan(setup):
+    cluster, addr = setup
+    sx = cluster.sim_executor(0)
+    sx.arm_verb_budget(10)
+
+    def reads():
+        for _ in range(100):
+            yield ReadOp(addr, 8)
+
+    p = cluster.engine.process(sx.run(reads()))
+    with pytest.raises(SimulationError, match="verb budget exceeded"):
+        cluster.engine.run_until_complete(p)
+    assert sx.stats.messages == 11
+
+
+# -- Direct-vs-Sim fault parity ---------------------------------------------
+#
+# One scenario per fault verdict.  Both executors share a client id and
+# every recorded fault fires at simulated time 0, so the injector
+# schedules must match field for field; OpStats must match because both
+# count a verb exactly when its request left the CN NIC.
+
+_WORD = (5).to_bytes(8, "little")
+
+SCENARIOS = ("dead_mn", "nak", "drop_applied", "drop_unapplied",
+             "crash_cn_applied", "crash_cn_unapplied", "delay", "duplicate",
+             "stale_cas")
+
+
+def _scenario(name, cluster, a0, a1):
+    """(fault rules, ops run one per executor.run) for one verdict."""
+    unroutable = a0 - addr_offset(a0) + cluster.memories[0].capacity + 64
+    write = [WriteOp(a0, b"faulted!"), ReadOp(a0, 8)]
+    return {
+        "dead_mn": ((crash_mn(1, at_verb=0),), [ReadOp(a1, 8), ReadOp(a0, 8)]),
+        "nak": ((), [ReadOp(unroutable, 8), ReadOp(a0, 8)]),
+        "drop_applied": ((drop(1.0, ("write",), applied_prob=1.0),), write),
+        "drop_unapplied": ((drop(1.0, ("write",)),), write),
+        "crash_cn_applied": ((crash_cn(0, applied_prob=1.0),), write),
+        "crash_cn_unapplied": ((crash_cn(0),), write),
+        "delay": ((delay(1.0, 500, ("write",)),), write),
+        "duplicate": ((duplicate(1.0, ("faa",)),),
+                      [FaaOp(a0, 3), ReadOp(a0, 8)]),
+        "stale_cas": ((stale_cas(1.0),), [CasOp(a0, 5, 9), ReadOp(a0, 8)]),
+    }[name]
+
+
+def _one(op):
+    return (yield op)
+
+
+def _fault_run(name, kind):
+    """Run scenario ``name`` on a fresh cluster under one executor kind;
+    returns (outcomes, OpStats, fault schedule, final memory words)."""
+    cluster = Cluster(ClusterConfig(mn_capacity_bytes=1 << 20))
+    a0, a1 = cluster.alloc(0, 64), cluster.alloc(1, 64)
+    # The words are created by client "c" itself, so under REPRO_SAN=1
+    # its later plain writes touch private, unpublished objects.
+    init = DirectExecutor(cluster.memories, client_id="c",
+                          monitor=cluster.monitor)
+    for addr in (a0, a1):
+        init.run(_one(WriteOp(addr, _WORD)))
+    rules, ops = _scenario(name, cluster, a0, a1)
+    injector = cluster.attach_faults(FaultPlan(rules=rules, seed=1))
+    if name == "dead_mn":
+        # Another client's verb fires the scheduled MN crash at time 0.
+        DirectExecutor(cluster.memories, client_id="setup",
+                       injector=injector).run(_one(ReadOp(a0, 8)))
+    if kind == "direct":
+        ex = DirectExecutor(cluster.memories, client_id="c",
+                            clock=lambda: cluster.engine.now,
+                            monitor=cluster.monitor, injector=injector)
+    else:
+        ex = SimExecutor(cluster.engine, cluster.memories,
+                         cluster.cn_nics[0], cluster.mn_nics,
+                         cluster.config.network, client_id="c",
+                         monitor=cluster.monitor, injector=injector)
+    outcomes = []
+
+    def client():
+        for op in ops:
+            try:
+                if kind == "direct":
+                    value = ex.run(_one(op))
+                else:
+                    value = yield from ex.run(_one(op))
+                outcomes.append(("ok", value))
+            except (ClientCrash, InjectedFault, MNUnavailable) as exc:
+                outcomes.append((type(exc).__name__,
+                                 getattr(exc, "applied", None)))
+
+    cluster.engine.run_until_complete(cluster.engine.process(client()))
+    words = [cluster.memories[addr_mn(a)].read(addr_offset(a), 8)
+             for a in (a0, a1)]
+    return outcomes, ex.stats, injector.schedule(), words
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_fault_verdict_parity_direct_vs_sim(name):
+    direct = _fault_run(name, "direct")
+    sim = _fault_run(name, "sim")
+    assert direct[0] == sim[0]
+    assert direct[1] == sim[1]
+    assert direct[2] == sim[2]
+    assert direct[3] == sim[3]
+    assert direct[1].faults_injected == 1
+
+
+def test_fault_verdict_counts_only_sent_requests():
+    # crash_cn before the request left the NIC, and the latched verb
+    # after it, never reach the fabric: neither is counted.
+    outcomes, stats, _, _ = _fault_run("crash_cn_unapplied", "direct")
+    assert outcomes == [("ClientCrash", False), ("ClientCrash", False)]
+    assert (stats.messages, stats.writes, stats.reads) == (0, 0, 0)
+    # A verb to a dead MN did leave the CN NIC.
+    outcomes, stats, _, _ = _fault_run("dead_mn", "sim")
+    assert outcomes[0] == ("MNUnavailable", None)
+    assert (stats.messages, stats.reads) == (2, 2)
